@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -61,13 +62,15 @@ func coordJournalPath(storeDir string) string {
 }
 
 // runServeCoord serves the campaign coordinator and the result store
-// on one listener until the process is terminated: workers dial a
-// single -coord-url for claims, leases, completions, AND the shared
-// cache. When the queue drains, the merged suite result is written to
-// the store as a 1-of-1 shard artifact, so `eptest -merge DIR` renders
-// the exact report a single-process run would have printed — the
-// coordinator keeps serving afterwards for late duplicate completions,
-// campaign submissions, and state queries.
+// on one listener until the process is terminated or ctx is done:
+// workers dial a single -coord-url for claims, leases, completions, AND
+// the shared cache. When the queue drains, the merged suite result is
+// written to the store as a 1-of-1 shard artifact, so `eptest -merge
+// DIR` renders the exact report a single-process run would have printed
+// — the coordinator keeps serving afterwards for late duplicate
+// completions, campaign submissions, and state queries. When ctx ends
+// the serve loop, it waits for that artifact write, if one started, and
+// closes the journal before returning.
 //
 // The queue is durable: every claim, renewal, and completion is
 // journaled under <store>/coord/, and a restarted coordinator folds
@@ -86,7 +89,7 @@ func coordJournalPath(storeDir string) string {
 // (self-refreshing HTML page over the same snapshot), and GET /metrics
 // (Prometheus text for the queue, store and HTTP metrics) — all
 // behind the bearer token.
-func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, retention time.Duration, token, pprofAddr string, stdout, stderr io.Writer) int {
+func runServeCoord(ctx context.Context, addr, dir string, useMatrix bool, filter string, lease, retention time.Duration, token, pprofAddr string, stdout, stderr io.Writer) int {
 	st, err := store.Open(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
@@ -152,8 +155,14 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 			rst.Done, rst.Claimed, rst.Pending, rst.Jobs)
 	}
 
+	written := make(chan struct{})
 	go func() {
-		<-co.Drained()
+		defer close(written)
+		select {
+		case <-co.Drained():
+		case <-ctx.Done():
+			return
+		}
 		sr, err := co.SuiteResult()
 		if err != nil {
 			fmt.Fprintf(stderr, "eptest: coordinator drained but could not assemble the suite result: %v\n", err)
@@ -171,7 +180,12 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 			len(catalog), st.Dir(), matrixHint(useMatrix))
 	}()
 
-	if err := http.Serve(ln, store.BearerAuth(token, mux)); err != nil {
+	if err := serveUntil(ctx, ln, store.BearerAuth(token, mux)); err != nil {
+		fmt.Fprintf(stderr, "eptest: %v\n", err)
+		return 1
+	}
+	<-written
+	if err := journal.Close(); err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 1
 	}

@@ -15,12 +15,12 @@ import (
 
 // startCoordServer launches `eptest -serve-coord` on an ephemeral port
 // in-process — short lease so abandoned claims requeue within the
-// test's patience — and returns its base URL.
+// test's patience — and returns its base URL. The coordinator stops
+// when the test ends.
 func startCoordServer(t *testing.T, dir string, extra ...string) string {
 	t.Helper()
-	var out, errb syncBuffer
 	args := append([]string{"-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms"}, extra...)
-	go run(args, &out, &errb)
+	out, errb := serveInProcess(t, args...)
 	re := regexp.MustCompile(`listening on ([0-9.:]+) `)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -116,9 +116,8 @@ func TestCoordElasticFlow(t *testing.T) {
 	// Restart semantics first: a second coordinator over the same
 	// store resumes the drained queue from its journal instead of
 	// re-opening it.
-	var resumedOut, resumedErr syncBuffer
-	go run([]string{"-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms",
-		"-filter", "lpr*", "-auth-token", token}, &resumedOut, &resumedErr)
+	resumedOut, resumedErr := serveInProcess(t, "-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms",
+		"-filter", "lpr*", "-auth-token", token)
 	rdl := time.Now().Add(5 * time.Second)
 	for !strings.Contains(resumedOut.String(), "resumed from journal") {
 		if time.Now().After(rdl) {

@@ -57,6 +57,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -121,6 +122,13 @@ type suiteConfig struct {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	return runContext(context.Background(), args, stdout, stderr)
+}
+
+// runContext is run with a stop for the serve modes: -serve-cache and
+// -serve-coord return once ctx is done and every request they were
+// serving has finished. Every other mode ignores ctx.
+func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eptest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -246,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "eptest: -lease %v is not a lease TTL; pass how long a silent worker keeps its claims (e.g. -lease 60s)\n", *lease)
 			return 2
 		}
-		return runServeCoord(*serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, stdout, stderr)
+		return runServeCoord(ctx, *serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, stdout, stderr)
 	}
 	if *serveCache != "" {
 		if *list || *all || *campaign != "" || *merge != "" || *shard != "" || *cacheURL != "" || *coordURL != "" || *matrix || *filter != "" {
@@ -257,7 +265,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "eptest: -serve-cache needs -cache DIR naming the store directory to serve")
 			return 2
 		}
-		return runServeCache(*serveCache, *cache, *authToken, *pprofAddr, stdout, stderr)
+		return runServeCache(ctx, *serveCache, *cache, *authToken, *pprofAddr, stdout, stderr)
 	}
 	if *merge != "" {
 		if *list || *all || *campaign != "" || *shard != "" || *cache != "" || *cacheURL != "" || *coordURL != "" || *filter != "" {
@@ -660,12 +668,12 @@ func runMerge(dir string, matrix bool, findingsOut string, stdout, stderr io.Wri
 }
 
 // runServeCache serves the store at dir over HTTP until the process is
-// terminated. Killing the server at any moment is safe: every store
-// write goes through an atomic rename, so readers and a later -merge
-// never observe partial files. A non-empty token puts the server
+// terminated or ctx is done. Killing the server at any moment is safe:
+// every store write goes through an atomic rename, so readers and a
+// later -merge never observe partial files. A non-empty token puts the server
 // behind `Authorization: Bearer` (GET /v1/meta stays open for
 // liveness probes; GET /metrics needs the token like any other route).
-func runServeCache(addr, dir, token, pprofAddr string, stdout, stderr io.Writer) int {
+func runServeCache(ctx context.Context, addr, dir, token, pprofAddr string, stdout, stderr io.Writer) int {
 	st, err := store.Open(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
@@ -684,11 +692,32 @@ func runServeCache(addr, dir, token, pprofAddr string, stdout, stderr io.Writer)
 		return 2
 	}
 	fmt.Fprintf(stdout, "eptest: cache server listening on %s (store %s)\n", ln.Addr(), st.Dir())
-	if err := http.Serve(ln, store.BearerAuth(token, mux)); err != nil {
+	if err := serveUntil(ctx, ln, store.BearerAuth(token, mux)); err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 1
 	}
 	return 0
+}
+
+// serveUntil serves h on ln until serving fails or ctx is done. When ctx
+// is done it stops accepting connections, cancels the context of every
+// request in flight (a long-polling claim returns at once), waits for
+// their handlers to finish, and returns nil.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{
+		Handler:     h,
+		BaseContext: func(net.Listener) context.Context { return ctx },
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	err := srv.Shutdown(context.Background())
+	<-served
+	return err
 }
 
 // startPprof starts the opt-in profiling listener when the -pprof flag

@@ -106,9 +106,8 @@ func TestCoordRestartResumesMidCampaign(t *testing.T) {
 
 	// Generation two resumes over the same store: two jobs done from
 	// the journal, two pending, and it says so.
-	var out2, err2 syncBuffer
-	go run([]string{"-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms",
-		"-filter", "lpr*"}, &out2, &err2)
+	out2, err2 := serveInProcess(t, "-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms",
+		"-filter", "lpr*")
 	deadline = time.Now().Add(5 * time.Second)
 	var url2 string
 	for url2 == "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"regexp"
@@ -30,14 +31,33 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// serveInProcess runs an eptest serve mode in-process and stops it when
+// the test ends: the cleanup cancels the serve loop and waits for run to
+// return, so no server is left writing into a test directory while the
+// directory is being removed. Callers create that directory before
+// calling, which orders its removal after this cleanup.
+func serveInProcess(t *testing.T, args ...string) (out, errb *syncBuffer) {
+	t.Helper()
+	out, errb = new(syncBuffer), new(syncBuffer)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runContext(ctx, args, out, errb)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return out, errb
+}
+
 // startCacheServer launches `eptest -serve-cache` on an ephemeral port
-// in-process and returns its base URL. The server goroutine lives for
-// the rest of the test binary — acceptable for a test, and exactly the
-// run-until-killed lifecycle the real command has.
+// in-process and returns its base URL. The server stops when the test
+// ends.
 func startCacheServer(t *testing.T, dir string) string {
 	t.Helper()
-	var out, errb syncBuffer
-	go run([]string{"-serve-cache", "127.0.0.1:0", "-cache", dir}, &out, &errb)
+	out, errb := serveInProcess(t, "-serve-cache", "127.0.0.1:0", "-cache", dir)
 	re := regexp.MustCompile(`listening on ([0-9.:]+) `)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -210,11 +210,14 @@ type Event struct {
 
 // PreHook runs before the kernel performs the interaction. Returning is
 // the only control flow; hooks mutate *Call (and, via closures, the
-// environment itself) to express faults.
+// environment itself) to express faults. The *Call is valid only for the
+// duration of the hook: the kernel reuses the record for the process's
+// next interaction, so a hook must copy any field it keeps.
 type PreHook func(c *Call)
 
 // PostHook runs after the kernel computed the result, before the
-// application observes it.
+// application observes it. Like a PreHook's, its *Call and *Result are
+// valid only for the duration of the hook.
 type PostHook func(c *Call, r *Result)
 
 // Bus is the interaction-point bus for one process run. The zero value is

@@ -165,6 +165,15 @@ type Proc struct {
 
 	Stdout bytes.Buffer
 	Stderr bytes.Buffer
+
+	// call and res are the interaction records every syscall of this
+	// process reuses: begin copies the caller's Call into call, and end
+	// copies the Result into res around the bus, so the records the
+	// syscalls build stay off the heap. Begin/end pairs never nest on one
+	// Proc (a child process brings its own), and hooks may use the
+	// records only while they run.
+	call interpose.Call
+	res  interpose.Result
 }
 
 // Printf writes formatted output to the process's stdout, which the
@@ -205,8 +214,13 @@ func (p *Proc) SetEUID(uid int) error {
 	return nil
 }
 
-// begin stamps and dispatches a call through the bus.
-func (p *Proc) begin(c *interpose.Call) *interpose.Call {
+// begin copies lit into the process's call record, stamps it, and
+// dispatches it through the bus. The returned record stays valid until
+// the next begin on this process. lit is only read, never kept, which
+// is what lets the caller's literal stay on the stack.
+func (p *Proc) begin(lit *interpose.Call) *interpose.Call {
+	p.call = *lit
+	c := &p.call
 	c.UID = p.Cred.UID
 	c.EUID = p.Cred.EUID
 	c.GID = p.Cred.GID
@@ -216,7 +230,11 @@ func (p *Proc) begin(c *interpose.Call) *interpose.Call {
 	return c
 }
 
-// end completes the call on the bus.
+// end completes the call on the bus: r is copied into the process's
+// result record for the post-hooks, and the possibly perturbed result is
+// copied back into r.
 func (p *Proc) end(c *interpose.Call, r *interpose.Result, resolved string) {
-	p.K.Bus.End(c, r, resolved)
+	p.res = *r
+	p.K.Bus.End(c, &p.res, resolved)
+	*r = p.res
 }

@@ -371,98 +371,170 @@ func (fs *FS) Resolve(cwd, p string, followLast bool) (Resolved, error) {
 		}
 		abs = strings.TrimSuffix(cwd, "/") + "/" + abs
 	}
-	return fs.resolve(abs, followLast, 0)
+	r, fail, detail := fs.walk(abs, followLast, true)
+	switch fail {
+	case failLoop:
+		return Resolved{}, fmt.Errorf("%w: %s", ErrLoop, detail)
+	case failNameTooLong:
+		return Resolved{}, fmt.Errorf("%w: %q", ErrNameTooLong, detail)
+	case failNotDir:
+		return Resolved{}, fmt.Errorf("%w: %s", ErrNotDir, detail)
+	case failNotExist:
+		return Resolved{}, fmt.Errorf("%w: %s", ErrNotExist, detail)
+	}
+	return r, nil
 }
 
-// splitRaw splits an absolute path into components, dropping empties and
-// "." but preserving ".." for the walk to handle.
-func splitRaw(abs string) []string {
-	parts := strings.Split(abs, "/")
-	out := parts[:0]
-	for _, c := range parts {
-		if c == "" || c == "." {
-			continue
+// walkFail names why a walk stopped short. The walker reports the kind and
+// the text the error message quotes; Resolve alone builds error values.
+type walkFail uint8
+
+const (
+	walkOK walkFail = iota
+	failLoop
+	failNameTooLong
+	failNotDir
+	failNotExist
+)
+
+// walk is the path walker behind Resolve and Peek: an index walk over abs
+// with the directory stack and component names in fixed local arrays (an
+// append spills them to the heap past 16 levels). While the walk has seen
+// no ".", "..", "//" or symlink, the resolved path is a substring of abs;
+// only the other walks build a string. A symlink is spliced by building
+// the path "target/rest" (rest being the remaining components joined with
+// single slashes) and walking that from the root again.
+//
+// With wantPath false the walk fills no Resolved.Path and no failure
+// detail, so a lookup that needs only the node (Peek) allocates nothing
+// unless it crosses a symlink.
+func (fs *FS) walk(abs string, followLast, wantPath bool) (Resolved, walkFail, string) {
+	var (
+		dirBuf  [16]*Inode
+		nameBuf [16]string
+	)
+walk:
+	for depth := 0; ; depth++ {
+		if depth > maxSymlinkDepth {
+			return Resolved{}, failLoop, abs
 		}
-		out = append(out, c)
+		// cur is the directory the walk stands in; dirs and names hold
+		// its ancestors and the names that entered each level.
+		cur := fs.view(fs.root)
+		dirs, names := dirBuf[:0], nameBuf[:0]
+		// plain holds while the resolved path is abs[:end].
+		plain := len(abs) > 0 && abs[0] == '/'
+		end := 1
+		for i := 0; i < len(abs); {
+			start := i
+			for start < len(abs) && abs[start] == '/' {
+				start++
+			}
+			if start == len(abs) {
+				break
+			}
+			if start-i != 1 {
+				plain = false
+			}
+			i = start
+			for i < len(abs) && abs[i] != '/' {
+				i++
+			}
+			comp := abs[start:i]
+			switch comp {
+			case ".":
+				plain = false
+				continue
+			case "..":
+				plain = false
+				if n := len(dirs); n > 0 {
+					cur, dirs, names = dirs[n-1], dirs[:n-1], names[:n-1]
+				}
+				continue
+			}
+			if len(comp) > MaxNameLen {
+				return Resolved{}, failNameTooLong, comp
+			}
+			if cur.Type != TypeDir {
+				if !wantPath {
+					return Resolved{}, failNotDir, ""
+				}
+				return Resolved{}, failNotDir, walkedPath(abs, plain, end, names)
+			}
+			next := fs.view(cur.kids[comp])
+			if next == nil {
+				var p string
+				if wantPath {
+					p = abs[:i]
+					if !plain {
+						p = joinResolved(walkedPath(abs, plain, end, names), comp)
+					}
+				}
+				if hasMoreComps(abs, i) {
+					return Resolved{}, failNotExist, p
+				}
+				return Resolved{Parent: cur, Name: comp, Path: p}, walkOK, ""
+			}
+			if next.Type == TypeSymlink && (followLast || hasMoreComps(abs, i)) {
+				abs = splice(next.Target, walkedPath(abs, plain, end, names), abs[i:])
+				continue walk
+			}
+			dirs, names = append(dirs, cur), append(names, comp)
+			cur, end = next, i
+		}
+		// The walk ended on an existing node: the final component, or a
+		// directory it already stood in (root, trailing "..", or ".").
+		r := Resolved{Node: cur}
+		if n := len(dirs); n > 0 {
+			r.Parent, r.Name = dirs[n-1], names[n-1]
+		}
+		if wantPath {
+			r.Path = walkedPath(abs, plain, end, names)
+		}
+		return r, walkOK, ""
 	}
-	return out
 }
 
-func (fs *FS) resolve(abs string, followLast bool, depth int) (Resolved, error) {
-	if depth > maxSymlinkDepth {
-		return Resolved{}, fmt.Errorf("%w: %s", ErrLoop, abs)
+// walkedPath renders the absolute path of the directory a walk stands in:
+// abs[:end] while the walk is plain, else the names joined.
+func walkedPath(abs string, plain bool, end int, names []string) string {
+	switch {
+	case plain:
+		return abs[:end]
+	case len(names) == 0:
+		return "/"
 	}
-	comps := splitRaw(abs)
-	// stack holds the directory chain from the root; names the component
-	// names entering each stack level past the root.
-	stack := []*Inode{fs.view(fs.root)}
-	var names []string
-	pathOf := func() string {
-		if len(names) == 0 {
-			return "/"
+	return "/" + strings.Join(names, "/")
+}
+
+// splice builds the path a walk continues on after meeting a symlink in
+// directory dir: the link's target (taken relative to dir unless it is
+// absolute), then the components of rest that still need walking — ""
+// and "." dropped, ".." kept for the walk — each after a single slash.
+func splice(target, dir, rest string) string {
+	var b strings.Builder
+	b.Grow(len(dir) + 1 + len(target) + len(rest))
+	if !strings.HasPrefix(target, "/") {
+		b.WriteString(dir)
+		if dir != "/" {
+			b.WriteByte('/')
 		}
-		return "/" + strings.Join(names, "/")
 	}
-	for i := 0; i < len(comps); i++ {
-		comp := comps[i]
-		cur := stack[len(stack)-1]
-		last := i == len(comps)-1
-		if comp == ".." {
-			if len(stack) > 1 {
-				stack = stack[:len(stack)-1]
-				names = names[:len(names)-1]
-			}
-			continue
+	b.WriteString(target)
+	for i := 0; i < len(rest); {
+		for i < len(rest) && rest[i] == '/' {
+			i++
 		}
-		if len(comp) > MaxNameLen {
-			return Resolved{}, fmt.Errorf("%w: %q", ErrNameTooLong, comp)
+		start := i
+		for i < len(rest) && rest[i] != '/' {
+			i++
 		}
-		if cur.Type != TypeDir {
-			return Resolved{}, fmt.Errorf("%w: %s", ErrNotDir, pathOf())
+		if c := rest[start:i]; c != "" && c != "." {
+			b.WriteByte('/')
+			b.WriteString(c)
 		}
-		next := fs.view(cur.kids[comp])
-		if next == nil {
-			if last {
-				return Resolved{
-					Parent: cur,
-					Name:   comp,
-					Path:   joinResolved(pathOf(), comp),
-				}, nil
-			}
-			return Resolved{}, fmt.Errorf("%w: %s", ErrNotExist, joinResolved(pathOf(), comp))
-		}
-		if next.Type == TypeSymlink && (!last || followLast) {
-			// Re-resolve with the link target spliced in; the recursive
-			// walk handles any ".." inside the target or the remainder.
-			rest := strings.Join(comps[i+1:], "/")
-			target := next.Target
-			if !strings.HasPrefix(target, "/") {
-				target = joinResolved(pathOf(), target)
-			}
-			if rest != "" {
-				target = target + "/" + rest
-			}
-			return fs.resolve(target, followLast, depth+1)
-		}
-		if last {
-			return Resolved{
-				Node:   next,
-				Parent: cur,
-				Name:   comp,
-				Path:   joinResolved(pathOf(), comp),
-			}, nil
-		}
-		stack = append(stack, next)
-		names = append(names, comp)
 	}
-	// The path named an already-walked directory (root, trailing "..", or
-	// trailing ".").
-	res := Resolved{Node: stack[len(stack)-1], Path: pathOf()}
-	if len(stack) > 1 {
-		res.Parent = stack[len(stack)-2]
-		res.Name = names[len(names)-1]
-	}
-	return res, nil
+	return b.String()
 }
 
 func joinResolved(dir, name string) string {
@@ -864,65 +936,15 @@ func (fs *FS) Digest() string {
 
 // Peek resolves absolute path p — following a final symlink only when
 // follow is true — and returns its inode, or nil when the path does not
-// resolve. Unlike Resolve it builds no error values or resolved-path
-// strings, making misses allocation-free; it is the security oracle's hot
-// snapshot lookup. Any symlink encountered mid-walk falls back to the full
-// Resolve machinery.
+// resolve. It is the security oracle's hot snapshot lookup: the walk it
+// shares with Resolve builds no error values or path strings for it, so
+// hits and misses alike allocate nothing unless a symlink is crossed.
 func (fs *FS) Peek(p string, follow bool) *Inode {
-	cur := fs.view(fs.root)
-	var dirs [32]*Inode // ".." stack; deeper paths take the slow path
-	nd := 0
-	i := 0
-	for i < len(p) {
-		for i < len(p) && p[i] == '/' {
-			i++
-		}
-		start := i
-		for i < len(p) && p[i] != '/' {
-			i++
-		}
-		comp := p[start:i]
-		if comp == "" || comp == "." {
-			continue
-		}
-		if comp == ".." {
-			if nd > 0 {
-				nd--
-				cur = dirs[nd]
-			}
-			continue
-		}
-		if len(comp) > MaxNameLen || cur.Type != TypeDir {
-			return nil
-		}
-		next := fs.view(cur.kids[comp])
-		if next == nil {
-			return nil
-		}
-		last := !hasMoreComps(p, i)
-		if next.Type == TypeSymlink && (!last || follow) {
-			// Symlinks need path-string splicing; delegate to Resolve.
-			r, err := fs.resolve(Canon("/", p), follow, 0)
-			if err != nil {
-				return nil
-			}
-			return r.Node
-		}
-		if last {
-			return next
-		}
-		if nd == len(dirs) {
-			r, err := fs.resolve(Canon("/", p), follow, 0)
-			if err != nil {
-				return nil
-			}
-			return r.Node
-		}
-		dirs[nd] = cur
-		nd++
-		cur = next
+	r, fail, _ := fs.walk(p, follow, false)
+	if fail != walkOK {
+		return nil
 	}
-	return cur
+	return r.Node
 }
 
 // hasMoreComps reports whether p contains a real path component ("" and
