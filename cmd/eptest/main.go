@@ -4,7 +4,7 @@
 // With -all it schedules every catalog campaign (vulnerable and fixed
 // variants) as one suite through the run-granularity work-stealing
 // dispatcher and prints the summary table plus the clustered violation
-// findings; on a terminal, live per-campaign progress bars track the run.
+// findings; on a terminal, one live status line tracks the run.
 //
 // Suite runs scale beyond one process through the result store (see
 // docs/STORE.md): -cache makes re-runs incremental by replaying campaigns
@@ -499,7 +499,7 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 	var progress *progressRenderer
 	switch {
 	case cfg.tty:
-		progress = newProgressRenderer(stdout, jobs)
+		progress = newProgressRenderer(stdout, len(jobs))
 		opt.OnEvent = progress.Handle
 	case cfg.verbose:
 		opt.OnEvent = func(ev sched.Event) {
@@ -722,16 +722,22 @@ func serveUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
 
 // startPprof starts the opt-in profiling listener when the -pprof flag
 // was given. It returns false only on a bind failure; an empty addr is
-// a no-op success.
+// a no-op success. Should the listener fail later, the error goes to
+// stderr and the run carries on without profiling.
 func startPprof(addr string, reg *obs.Registry, stdout, stderr io.Writer) bool {
 	if addr == "" {
 		return true
 	}
-	got, err := obs.ServePprof(addr, reg)
+	got, served, err := obs.ServePprof(addr, reg)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return false
 	}
+	go func() {
+		for err := range served {
+			fmt.Fprintf(stderr, "eptest: %v\n", err)
+		}
+	}()
 	fmt.Fprintf(stdout, "eptest: pprof listening on http://%s/debug/pprof/\n", got)
 	return true
 }

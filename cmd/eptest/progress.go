@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core/sched"
 )
@@ -26,123 +27,77 @@ func isTerminal(w io.Writer) bool {
 	return fi.Mode()&os.ModeCharDevice != 0
 }
 
-// rowState is one campaign's lifecycle position in the progress view.
-type rowState int
+// progressInterval is the shortest gap between two repaints of the
+// status line.
+const progressInterval = 100 * time.Millisecond
 
-const (
-	rowWaiting rowState = iota
-	rowRunning
-	rowDone
-	rowCached
-	rowFailed
-)
-
-// progressRow is one campaign's bar.
-type progressRow struct {
-	label       string
-	state       rowState
-	done, total int
-	err         error
-}
-
-// progressRenderer draws live per-campaign progress bars for `eptest
-// -all` on a terminal, driven by the dispatcher's serialised event
-// stream. Every event redraws the whole block in place (cursor-up +
-// clear-line), so the bars update smoothly while jobs interleave; the
-// final frame is left on screen above the suite report.
+// progressRenderer keeps one live status line for `eptest -all` on a
+// terminal. Handle runs on the dispatcher's workers under its emit lock,
+// so it only bumps counters; a ticker goroutine repaints the line in
+// place, and Close leaves the final line above the suite report.
 type progressRenderer struct {
-	w     io.Writer
-	rows  []progressRow
-	index map[string]int
-	drawn bool
+	w         io.Writer
+	campaigns int
+
+	// The counts on the line, bumped by Handle and read by paint.
+	done, cached, failed, runs, total atomic.Int64
+
+	// Close closes stop; the ticker closes stopped on its way out.
+	stop, stopped chan struct{}
 }
 
-// barWidth is the bar's interior width in cells.
-const barWidth = 24
-
-// newProgressRenderer sizes the display for the job list, one row per
-// job in job order, and is ready to receive Handle calls.
-func newProgressRenderer(w io.Writer, jobs []sched.Job) *progressRenderer {
-	p := &progressRenderer{w: w, rows: make([]progressRow, len(jobs)), index: make(map[string]int, len(jobs))}
-	for i, j := range jobs {
-		p.rows[i] = progressRow{label: j.Label()}
-		p.index[j.Label()] = i
-	}
+// newProgressRenderer starts the repaint ticker for a suite of
+// campaigns jobs.
+func newProgressRenderer(w io.Writer, campaigns int) *progressRenderer {
+	p := &progressRenderer{w: w, campaigns: campaigns, stop: make(chan struct{}), stopped: make(chan struct{})}
+	go p.tick()
 	return p
 }
 
-// Handle consumes one suite event. The dispatcher serialises event
-// delivery, so Handle needs no locking.
+// Handle consumes one suite event: a few atomic adds, with no
+// formatting, I/O or allocation.
 func (p *progressRenderer) Handle(ev sched.Event) {
-	i, ok := p.index[ev.Job.Label()]
-	if !ok {
-		return
-	}
-	r := &p.rows[i]
 	switch ev.Kind {
 	case sched.EventPlanned:
-		r.state = rowRunning
-		r.total = ev.Total
+		p.total.Add(int64(ev.Total))
 	case sched.EventProgress:
-		r.done, r.total = ev.Done, ev.Total
+		p.runs.Add(1)
 	case sched.EventDone:
-		r.done, r.total = ev.Done, ev.Total
 		switch {
 		case ev.Err != nil:
-			r.state = rowFailed
-			r.err = ev.Err
+			p.failed.Add(1)
 		case ev.Cached:
-			r.state = rowCached
-		default:
-			r.state = rowDone
+			p.cached.Add(1)
+			p.runs.Add(int64(ev.Done))
+		}
+		p.done.Add(1)
+	}
+}
+
+// Close stops the ticker and paints the final line plus the newline
+// that leaves the cursor where the suite report begins.
+func (p *progressRenderer) Close() {
+	close(p.stop)
+	<-p.stopped
+	p.paint("\n")
+}
+
+func (p *progressRenderer) tick() {
+	defer close(p.stopped)
+	t := time.NewTicker(progressInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-p.stop:
+			return
+		case <-t.C:
+			p.paint("")
 		}
 	}
-	p.draw()
 }
 
-// Close paints the final frame (covering the no-event edge case) and
-// leaves the cursor below the block, where the suite report begins.
-func (p *progressRenderer) Close() {
-	if !p.drawn {
-		p.draw()
-	}
-}
-
-// draw repaints the whole block in place.
-func (p *progressRenderer) draw() {
-	var b strings.Builder
-	if p.drawn {
-		fmt.Fprintf(&b, "\x1b[%dA", len(p.rows))
-	}
-	p.drawn = true
-	for i := range p.rows {
-		b.WriteString("\r\x1b[2K")
-		b.WriteString(p.rows[i].line())
-		b.WriteByte('\n')
-	}
-	io.WriteString(p.w, b.String())
-}
-
-// line renders one row.
-func (r *progressRow) line() string {
-	switch r.state {
-	case rowWaiting:
-		return fmt.Sprintf("  %-24s [%s]       waiting", r.label, strings.Repeat(" ", barWidth))
-	case rowFailed:
-		return fmt.Sprintf("  %-24s FAILED: %v", r.label, r.err)
-	case rowCached:
-		return fmt.Sprintf("  %-24s [%s] %3d/%-3d cached", r.label, strings.Repeat("#", barWidth), r.done, r.total)
-	}
-	filled := 0
-	if r.total > 0 {
-		filled = r.done * barWidth / r.total
-	} else if r.state == rowDone {
-		filled = barWidth
-	}
-	bar := strings.Repeat("#", filled) + strings.Repeat("-", barWidth-filled)
-	suffix := ""
-	if r.state == rowDone {
-		suffix = " done"
-	}
-	return fmt.Sprintf("  %-24s [%s] %3d/%-3d%s", r.label, bar, r.done, r.total, suffix)
+// paint rewrites the status line in place with one Write.
+func (p *progressRenderer) paint(end string) {
+	fmt.Fprintf(p.w, "\r\x1b[2Kcampaigns %d/%d (%d cached, %d failed)  runs %d/%d%s",
+		p.done.Load(), p.campaigns, p.cached.Load(), p.failed.Load(), p.runs.Load(), p.total.Load(), end)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -104,8 +105,19 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // ADDR` flag on servers and workers. The handlers live on a private
 // mux, so enabling profiling never leaks pprof onto a service
 // listener, and the caller's registry (if any) is exposed beside the
-// profiles at /metrics for one-stop debugging.
-func ServePprof(addr string, r *Registry) (string, error) {
+// profiles at /metrics for one-stop debugging. The returned channel
+// delivers the error that stopped the server, if it was not a
+// shutdown, and is then closed.
+func ServePprof(addr string, r *Registry) (string, <-chan error, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("obs: -pprof %s: %w", addr, err)
+	}
+	return ln.Addr().String(), servePprof(ln, r), nil
+}
+
+// servePprof serves the pprof mux on ln until the listener fails.
+func servePprof(ln net.Listener, r *Registry) <-chan error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -115,10 +127,13 @@ func ServePprof(addr string, r *Registry) (string, error) {
 	if r != nil {
 		mux.Handle("GET /metrics", r.Handler())
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("obs: -pprof %s: %w", addr, err)
-	}
-	go http.Serve(ln, mux)
-	return ln.Addr().String(), nil
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			errc <- fmt.Errorf("obs: pprof server: %w", err)
+		}
+	}()
+	return errc
 }

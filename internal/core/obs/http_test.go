@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRouteLabel pins the bounded-cardinality route normalisation.
@@ -118,7 +121,7 @@ func TestRegistryHandler(t *testing.T) {
 func TestServePprof(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("eptest_runs_executed_total", "Runs.").Inc()
-	addr, err := ServePprof("127.0.0.1:0", r)
+	addr, _, err := ServePprof("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,5 +142,28 @@ func TestServePprof(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(b), "eptest_runs_executed_total 1") {
 		t.Fatalf("pprof /metrics missing registry:\n%s", b)
+	}
+}
+
+// TestServePprofListenerClosed: when the listener dies under the pprof
+// server, its goroutine exits and hands the error to the caller
+// instead of dropping it.
+func TestServePprofListenerClosed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := servePprof(ln, nil)
+	ln.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Errorf("server error = %v, want the closed listener's", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pprof server kept running after its listener closed")
+	}
+	if _, open := <-errc; open {
+		t.Error("error channel not closed after the server stopped")
 	}
 }

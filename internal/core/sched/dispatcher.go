@@ -32,7 +32,10 @@ type Dispatcher struct {
 	// does not carry its own Job.Engine override.
 	Engine inject.Options
 	// OnEvent, when non-nil, receives progress events. Calls are
-	// serialised.
+	// serialised, and each runs on the emitting worker's goroutine while
+	// the dispatcher's emit lock is held: a handler must be O(1) and must
+	// not block or do I/O. The eptest CLI's progress renderer, which only
+	// bumps atomic counters, is the model.
 	OnEvent func(Event)
 	// Cache, when non-nil, makes the suite incremental. A job whose
 	// source fingerprint (inject.SourceFingerprint) is cached replays

@@ -71,7 +71,11 @@ func (k EventKind) String() string {
 // Event is one suite progress notification. Events for a single job
 // arrive in order; events for different jobs interleave. The
 // dispatcher serialises callback invocations, so handlers need no
-// locking.
+// locking. Each handler call runs on the emitting worker's goroutine
+// while the dispatcher's emit lock is held, stalling every other
+// worker that emits meanwhile: a handler must be O(1) and must not
+// block or do I/O. The eptest CLI's progress renderer, which only
+// bumps atomic counters and paints from its own ticker, is the model.
 type Event struct {
 	Kind EventKind
 	Job  Job
@@ -94,7 +98,10 @@ type SuiteOptions struct {
 	// does not carry its own Job.Engine override.
 	Engine inject.Options
 	// OnEvent, when non-nil, receives progress events. Calls are
-	// serialised.
+	// serialised, and each runs on the emitting worker's goroutine while
+	// the dispatcher's emit lock is held: a handler must be O(1) and must
+	// not block or do I/O. The eptest CLI's progress renderer, which only
+	// bumps atomic counters, is the model.
 	OnEvent func(Event)
 	// Cache, when non-nil, makes the suite incremental; see
 	// Dispatcher.Cache for the two-level fingerprint protocol.
