@@ -64,7 +64,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
 	"time"
 
 	"repro/internal/apps"
@@ -126,8 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runContext is run with a stop for the serve modes: -serve-cache and
-// -serve-coord return once ctx is done and every request they were
-// serving has finished. Every other mode ignores ctx.
+// -serve-coord return once ctx is done (or SIGINT or SIGTERM arrives)
+// and every request they were serving has finished. Every other mode
+// ignores ctx and keeps the default signal behaviour.
 func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eptest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -254,6 +257,8 @@ func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 			fmt.Fprintf(stderr, "eptest: -lease %v is not a lease TTL; pass how long a silent worker keeps its claims (e.g. -lease 60s)\n", *lease)
 			return 2
 		}
+		ctx, stop := stopOnSignal(ctx)
+		defer stop()
 		return runServeCoord(ctx, *serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, stdout, stderr)
 	}
 	if *serveCache != "" {
@@ -265,6 +270,8 @@ func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 			fmt.Fprintln(stderr, "eptest: -serve-cache needs -cache DIR naming the store directory to serve")
 			return 2
 		}
+		ctx, stop := stopOnSignal(ctx)
+		defer stop()
 		return runServeCache(ctx, *serveCache, *cache, *authToken, *pprofAddr, stdout, stderr)
 	}
 	if *merge != "" {
@@ -699,14 +706,42 @@ func runServeCache(ctx context.Context, addr, dir, token, pprofAddr string, stdo
 	return 0
 }
 
+// stopOnSignal returns ctx cancelled also by SIGINT or SIGTERM, so a
+// server stopped by a service manager shuts down through serveUntil
+// (in-flight requests finish, the coordinator flushes and closes its
+// journal) instead of dying mid-write. Once ctx is done the default
+// signal behaviour returns, so a second signal kills a server whose
+// shutdown waits on a stalled client. Only the serve modes use it.
+func stopOnSignal(ctx context.Context) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	return ctx, stop
+}
+
+// Server limits for the serve modes. A client gets serverHeaderTimeout
+// to send its request headers, the same bound obs.ServePprof uses, so a
+// slow or stalled client cannot hold a connection open before its
+// request starts. Keep-alive connections close after serverIdleTimeout
+// without a request. Request bodies and long-poll responses are not
+// bounded by time here: the stores cap body sizes, and a claim's long
+// poll must outlast any fixed write timeout.
+const (
+	serverHeaderTimeout = 10 * time.Second
+	serverIdleTimeout   = 2 * time.Minute
+	serverMaxHeader     = 64 << 10
+)
+
 // serveUntil serves h on ln until serving fails or ctx is done. When ctx
 // is done it stops accepting connections, cancels the context of every
 // request in flight (a long-polling claim returns at once), waits for
 // their handlers to finish, and returns nil.
 func serveUntil(ctx context.Context, ln net.Listener, h http.Handler) error {
 	srv := &http.Server{
-		Handler:     h,
-		BaseContext: func(net.Listener) context.Context { return ctx },
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: serverHeaderTimeout,
+		IdleTimeout:       serverIdleTimeout,
+		MaxHeaderBytes:    serverMaxHeader,
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()

@@ -78,7 +78,7 @@ func Run(name string, world inject.Factory, pol policy.Policy, opt Options) Resu
 			}
 			r.Data = corrupt(rng, r.Data)
 		})
-		p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
+		p := k.NewProc(l.Cred, l.Env, l.Cwd, l.Args...)
 		_, crash := k.Run(p, l.Prog)
 		obs := policy.Observation{
 			Trace:  k.Bus.Trace(),

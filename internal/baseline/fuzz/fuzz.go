@@ -78,7 +78,7 @@ func Run(t Target, opt Options) Result {
 			}
 			r.Data = payload(rng, opt)
 		})
-		p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
+		p := k.NewProc(l.Cred, l.Env, l.Cwd, l.Args...)
 		exit, crash := k.Run(p, l.Prog)
 		switch {
 		case crash != nil:

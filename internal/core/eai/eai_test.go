@@ -1,6 +1,7 @@
 package eai
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -196,6 +197,33 @@ func TestMutatorsDoNotAliasInput(t *testing.T) {
 		_ = f.Mutate(in)
 		if string(in) != orig {
 			t.Errorf("%s mutated its input in place", f.ID)
+		}
+	}
+}
+
+// TestMutatorsKeepInputBacking: no mutator writes anywhere into its
+// input's backing array — not into the visible bytes, and not past the
+// input's length into spare capacity, where a trimming append would land.
+// Post-hook inputs may share their backing array with a world snapshot
+// or a reused kernel buffer, so a write there corrupts another run.
+func TestMutatorsKeepInputBacking(t *testing.T) {
+	t.Parallel()
+	for _, in := range []string{"/bin/ls\n", "a:b:c\n\n", "sample-input-value", ""} {
+		for _, f := range AllIndirect() {
+			backing := make([]byte, 1<<13)
+			for i := range backing {
+				backing[i] = byte('a' + i%26)
+			}
+			copy(backing, in)
+			orig := append([]byte(nil), backing...)
+			_ = f.Mutate(backing[:len(in)])
+			if !bytes.Equal(backing, orig) {
+				i := 0
+				for backing[i] == orig[i] {
+					i++
+				}
+				t.Errorf("%s(%q) wrote into its input's backing array at offset %d", f.ID, in, i)
+			}
 		}
 	}
 }

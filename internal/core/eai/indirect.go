@@ -2,6 +2,7 @@ package eai
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 )
 
@@ -32,13 +33,16 @@ func (f IndirectFault) Class() Class { return ClassIndirect }
 // rows of Table 5.
 const overlongLen = 4096
 
+// overlongPad is the padding mkOverlong appends. It is only ever read.
+var overlongPad = bytes.Repeat([]byte{'A'}, overlongLen)
+
+// Every mutator returns a fresh slice or the input unchanged, and never
+// writes into the input's backing array: the value may be shared with
+// the world the run was forked from, and bytes past its length belong
+// to someone else.
+
 func mkOverlong(value []byte) []byte {
-	out := bytes.TrimRight(value, "\n")
-	pad := make([]byte, overlongLen)
-	for i := range pad {
-		pad[i] = 'A'
-	}
-	return append(out, pad...)
+	return slices.Concat(bytes.TrimRight(value, "\n"), overlongPad)
 }
 
 func mkRelative(value []byte) []byte {
@@ -65,8 +69,7 @@ func mkPrefix(prefix string) func([]byte) []byte {
 
 func mkAppend(suffix string) func([]byte) []byte {
 	return func(value []byte) []byte {
-		out := bytes.TrimRight(value, "\n")
-		return append(out, suffix...)
+		return slices.Concat(bytes.TrimRight(value, "\n"), []byte(suffix))
 	}
 }
 

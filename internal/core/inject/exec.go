@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core/policy"
-	"repro/internal/interpose"
 )
 
 // ExecPlan is a materialised campaign: the clean-run planning state of
@@ -64,7 +63,7 @@ func (p *ExecPlan) NumRuns() int { return len(p.plans) }
 func (p *ExecPlan) Planned(i int) PlannedInjection {
 	pl := p.plans[i]
 	pi := PlannedInjection{
-		Point: interpose.PointID(pl.site, pl.occur),
+		Point: pl.point,
 		Site:  pl.site,
 		Kind:  pl.kind,
 	}

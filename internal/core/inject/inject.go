@@ -180,6 +180,9 @@ func (r *Result) ViolationsBySite() map[string][]Injection {
 type planned struct {
 	site  string
 	occur int
+	// point is the interaction-point identity site#occur, built once
+	// per site and shared by the site's plans.
+	point string
 	kind  interpose.ObjectKind
 	// armedIdx is the clean-trace index of the armed interaction point.
 	// A run replays the clean trace byte-for-byte up to (excluding) this
@@ -228,35 +231,113 @@ func objectIdentity(call *interpose.Call) string {
 	return vfs.Canon(callCwd(call, Launch{}), call.Path)
 }
 
-// traceBufs recycles run-trace backing buffers across injection runs. A
-// run's trace is only read during its own oracle pass and discarded with
-// its kernel, so the buffers — sized once from the clean trace — make
-// steady-state recording allocation-free.
-var traceBufs = sync.Pool{New: func() any { return new([]interpose.Event) }}
+// recorders recycles per-run bus recorders (trace buffer, occurrence
+// table, payload arena) across injection runs. A run's trace is only
+// read during its own oracle pass, and an Injection keeps only strings
+// derived from it, so nothing a recorder handed out outlives runOne and
+// steady-state recording allocates nothing.
+var recorders = sync.Pool{New: func() any { return new(interpose.Recorder) }}
+
+// traceSlack is the extra trace room reserved beyond the clean trace's
+// length: a perturbed run may take a longer path than the clean run
+// (an error branch, a retry), and the slack lets it record that path
+// without growing the buffer.
+func traceSlack(clean int) int { return clean/4 + 8 }
+
+// run is the state one injection run shares between the fault hook it
+// arms and the oracle pass that follows. The hooks are methods on it, so
+// one allocation holds what separate closures would each capture.
+type run struct {
+	ep    *ExecPlan
+	pl    *planned
+	k     *kernel.Kernel
+	p     *kernel.Proc
+	inj   Injection
+	snap  *vfs.FS
+	armed bool
+}
+
+// arm reports whether call is the run's injection point reached for the
+// first time, and marks the run armed if so.
+func (r *run) arm(call *interpose.Call) bool {
+	if r.armed || call.Site != r.pl.site || call.Occur != r.pl.occur {
+		return false
+	}
+	r.armed = true
+	return true
+}
+
+// applyDirect is the direct-fault hook: it rewrites the world at the
+// armed point.
+func (r *run) applyDirect(call *interpose.Call) {
+	if !r.arm(call) {
+		return
+	}
+	ctx := &eai.Ctx{
+		Kern:   r.k,
+		Call:   call,
+		Cwd:    r.p.Cwd,
+		SetCwd: r.setCwd,
+		Cfg:    r.ep.campaign.Faults,
+	}
+	if err := r.pl.dir.Apply(ctx); err != nil {
+		r.inj.ApplyErr = err.Error()
+		return
+	}
+	r.inj.Applied = true
+	r.k.Bus.MarkMutated()
+	// Zero-clone post-injection snapshot: freeze the world the fault
+	// just arranged and let the rest of the run proceed on a fresh fork.
+	r.snap = r.k.FreezeFS()
+}
+
+// applyDirectAfter is applyDirect in the post-hook position, for the
+// DirectAfterPoint ablation.
+func (r *run) applyDirectAfter(call *interpose.Call, _ *interpose.Result) { r.applyDirect(call) }
+
+func (r *run) setCwd(dir string) { r.p.Cwd = dir }
+
+// mutateIndirect is the indirect-fault hook: it perturbs the value the
+// application receives at the armed point.
+func (r *run) mutateIndirect(call *interpose.Call, res *interpose.Result) {
+	if !r.arm(call) {
+		return
+	}
+	r.inj.Applied = true
+	r.k.Bus.MarkMutated()
+	switch {
+	case res.Data != nil:
+		res.Data = r.pl.ind.Mutate(res.Data)
+	case res.Str != "":
+		res.Str = string(r.pl.ind.Mutate([]byte(res.Str)))
+	}
+}
 
 // runOne performs a single fault-injection run (steps 6-8). phase, when
 // non-nil, observes the world/exec/compare segments; it deliberately
 // lives outside Options so telemetry never perturbs cache fingerprints.
 func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
-	c, opt, pl, ws := ep.campaign, ep.opt, ep.plans[i], ep.world
+	pl, ws := &ep.plans[i], ep.world
 
 	worldStart := time.Now()
 	k, l := ws.world()
 
-	// Seed trace recording with a pooled buffer sized from the clean
-	// trace: perturbed runs rarely record more events than the clean run.
-	bufp := traceBufs.Get().(*[]interpose.Event)
-	if need := len(ep.shell.CleanTrace) + 1; cap(*bufp) < need {
-		*bufp = make([]interpose.Event, 0, need)
-	}
-	k.Bus.ReserveTrace(*bufp)
+	// Record into a pooled recorder sized from the clean trace.
+	rec := recorders.Get().(*interpose.Recorder)
+	clean := len(ep.shell.CleanTrace)
+	rec.Grow(clean + traceSlack(clean))
+	k.Bus.UseRecorder(rec)
 
-	p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
-
-	inj := Injection{
-		Point: interpose.PointID(pl.site, pl.occur),
-		Site:  pl.site,
-		Kind:  pl.kind,
+	r := &run{
+		ep: ep,
+		pl: pl,
+		k:  k,
+		p:  k.NewProc(l.Cred, l.Env, l.Cwd, l.Args...),
+		inj: Injection{
+			Point: pl.point,
+			Site:  pl.site,
+			Kind:  pl.kind,
+		},
 	}
 
 	// Snap defaults to the pre-run world; a direct fault replaces it with
@@ -265,82 +346,43 @@ func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
 	// *is* the pre-run world; otherwise the freshly built world is frozen
 	// in place and the run continues on a copy-on-write fork — either
 	// way, no deep clone.
-	snap := ws.baseFS()
-	if snap == nil {
-		snap = k.FreezeFS()
+	r.snap = ws.baseFS()
+	if r.snap == nil {
+		r.snap = k.FreezeFS()
 	}
-	armed := false
 
 	switch {
 	case pl.dir != nil:
-		f := pl.dir
-		inj.FaultID = f.ID
-		inj.Class = eai.ClassDirect
-		inj.Attr = f.Attr
-		apply := func(call *interpose.Call) {
-			if armed || call.Site != pl.site || call.Occur != pl.occur {
-				return
-			}
-			armed = true
-			ctx := &eai.Ctx{
-				Kern:   k,
-				Call:   call,
-				Cwd:    p.Cwd,
-				SetCwd: func(d string) { p.Cwd = d },
-				Cfg:    c.Faults,
-			}
-			if err := f.Apply(ctx); err != nil {
-				inj.ApplyErr = err.Error()
-				return
-			}
-			inj.Applied = true
-			k.Bus.MarkMutated()
-			// Zero-clone post-injection snapshot: freeze the world the
-			// fault just arranged and let the rest of the run proceed on
-			// a fresh fork.
-			snap = k.FreezeFS()
-		}
-		if opt.DirectAfterPoint {
-			k.Bus.OnPost(func(call *interpose.Call, _ *interpose.Result) { apply(call) })
+		r.inj.FaultID = pl.dir.ID
+		r.inj.Class = eai.ClassDirect
+		r.inj.Attr = pl.dir.Attr
+		if ep.opt.DirectAfterPoint {
+			k.Bus.OnPost(r.applyDirectAfter)
 		} else {
-			k.Bus.OnPre(apply)
+			k.Bus.OnPre(r.applyDirect)
 		}
 	case pl.ind != nil:
-		f := pl.ind
-		inj.FaultID = f.ID
-		inj.Class = eai.ClassIndirect
-		inj.Sem = f.Sem
-		k.Bus.OnPost(func(call *interpose.Call, r *interpose.Result) {
-			if armed || call.Site != pl.site || call.Occur != pl.occur {
-				return
-			}
-			armed = true
-			inj.Applied = true
-			k.Bus.MarkMutated()
-			switch {
-			case r.Data != nil:
-				r.Data = f.Mutate(r.Data)
-			case r.Str != "":
-				r.Str = string(f.Mutate([]byte(r.Str)))
-			}
-		})
+		r.inj.FaultID = pl.ind.ID
+		r.inj.Class = eai.ClassIndirect
+		r.inj.Sem = pl.ind.Sem
+		k.Bus.OnPost(r.mutateIndirect)
 	}
 
 	execStart := time.Now()
 	if phase != nil {
 		phase("world", worldStart, execStart.Sub(worldStart))
 	}
-	exit, crash := k.Run(p, l.Prog)
+	exit, crash := k.Run(r.p, l.Prog)
 	compareStart := time.Now()
 	if phase != nil {
 		phase("exec", execStart, compareStart.Sub(execStart))
 	}
+	inj := r.inj
 	inj.Exit = exit
-	trace := k.Bus.Trace()
 	obs := policy.Observation{
-		Trace:  trace,
-		Stdout: p.Stdout.Bytes(),
-		Snap:   snap,
+		Trace:  k.Bus.Trace(),
+		Stdout: r.p.Stdout.Bytes(),
+		Snap:   r.snap,
 	}
 	if crash != nil {
 		inj.CrashMsg = crash.Msg
@@ -351,19 +393,17 @@ func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
 	// every indirect and unapplied-direct run. An applied direct fault
 	// replaced snap with the post-injection world above, which sends it
 	// down the full-walk branch.
-	if ep.seed != nil && snap == ws.baseFS() {
+	if ep.seed != nil && r.snap == ws.baseFS() {
 		inj.Violations = ep.seed.EvaluateFrom(pl.armedIdx, obs)
 	} else {
-		inj.Violations = c.Policy.Evaluate(obs)
+		inj.Violations = ep.campaign.Policy.Evaluate(obs)
 	}
 	if phase != nil {
 		phase("compare", compareStart, time.Since(compareStart))
 	}
-	// Recycle the trace buffer. Violations carry only derived strings and
-	// the kernel dies with this call, so nothing can observe the reuse;
-	// clearing first drops the payload references the events pin.
-	clear(trace[:cap(trace)])
-	*bufp = trace[:0]
-	traceBufs.Put(bufp)
+	// Recycle the recorder. Violations carry only derived strings and
+	// the kernel dies with this call, so nothing can observe the reuse.
+	rec.Reset()
+	recorders.Put(rec)
 	return inj
 }

@@ -190,7 +190,7 @@ func CleanSites(c Campaign) ([]string, error) {
 // on clean-run semantics.
 func cleanRun(ws *worldSource) (*kernel.Kernel, error) {
 	k, l := ws.world()
-	p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
+	p := k.NewProc(l.Cred, l.Env, l.Cwd, l.Args...)
 	if _, crash := k.Run(p, l.Prog); crash != nil {
 		return nil, fmt.Errorf("%w: %s", ErrCleanCrash, crash.Msg)
 	}
@@ -293,6 +293,7 @@ func planCampaign(c Campaign, opt Options, ws *worldSource) (*planResult, error)
 			continue
 		}
 		ev := firstEvent[site]
+		point := ev.Call.PointID()
 		var sitePlans []planned
 
 		if !opt.OnlyIndirect {
@@ -323,7 +324,7 @@ func planCampaign(c Campaign, opt Options, ws *worldSource) (*planResult, error)
 						continue
 					}
 					injectedAttr[key] = true
-					sitePlans = append(sitePlans, planned{site: site, occur: ev.Call.Occur, kind: ev.Call.Kind, armedIdx: firstIdx[site], dir: &f})
+					sitePlans = append(sitePlans, planned{site: site, occur: ev.Call.Occur, point: point, kind: ev.Call.Kind, armedIdx: firstIdx[site], dir: &f})
 				}
 			}
 		}
@@ -335,7 +336,7 @@ func planCampaign(c Campaign, opt Options, ws *worldSource) (*planResult, error)
 			}
 			for _, f := range eai.CatalogIndirect(sem) {
 				f := f
-				sitePlans = append(sitePlans, planned{site: site, occur: ev.Call.Occur, kind: ev.Call.Kind, armedIdx: firstIdx[site], ind: &f})
+				sitePlans = append(sitePlans, planned{site: site, occur: ev.Call.Occur, point: point, kind: ev.Call.Kind, armedIdx: firstIdx[site], ind: &f})
 			}
 		}
 

@@ -14,6 +14,7 @@ package interpose
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -212,13 +213,60 @@ type Event struct {
 // the only control flow; hooks mutate *Call (and, via closures, the
 // environment itself) to express faults. The *Call is valid only for the
 // duration of the hook: the kernel reuses the record for the process's
-// next interaction, so a hook must copy any field it keeps.
+// next interaction, so a hook must copy any field it keeps. That includes
+// Call.Data: the bytes belong to the caller, so a hook must neither keep
+// the slice nor write through it.
 type PreHook func(c *Call)
 
 // PostHook runs after the kernel computed the result, before the
 // application observes it. Like a PreHook's, its *Call and *Result are
-// valid only for the duration of the hook.
+// valid only for the duration of the hook. A hook that perturbs
+// Result.Data replaces the slice with a fresh one; it must not keep the
+// old slice or write through it, because the bytes may be shared with
+// the world the run was forked from.
 type PostHook func(c *Call, r *Result)
+
+// Recorder is the recording state of one bus run: the event trace, the
+// per-site occurrence counts, and an arena that owns the payload bytes
+// the trace events carry. A Bus makes its own recorder on first use; a
+// harness that executes many runs recycles one through Reset and
+// Bus.UseRecorder, so steady-state recording allocates nothing.
+//
+// Everything a recorder hands out — the trace and every event's
+// Call.Data and Result.Data — is valid only until the next Reset. A
+// harness that recycles recorders must therefore let nothing from a
+// run's trace outlive the run: it keeps only values derived from the
+// trace (strings, counts), never the events or their payloads.
+type Recorder struct {
+	trace    []Event
+	siteHits map[string]int
+	arena    []byte
+}
+
+// Reset empties the recorder for reuse, keeping its capacity. Clearing
+// the events drops the references they pin (errors, strings) so a
+// pooled recorder keeps nothing of its last run alive.
+func (r *Recorder) Reset() {
+	clear(r.trace)
+	r.trace = r.trace[:0]
+	clear(r.siteHits)
+	r.arena = r.arena[:0]
+}
+
+// Grow makes room for n more events without reallocating the trace.
+func (r *Recorder) Grow(n int) { r.trace = slices.Grow(r.trace, n) }
+
+// keep copies p into the arena and returns the copy as a sub-slice whose
+// capacity ends at its length, so an append to one event's payload can
+// never write into the next. Empty payloads are recorded as nil.
+func (r *Recorder) keep(p []byte) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	start := len(r.arena)
+	r.arena = append(r.arena, p...)
+	return r.arena[start:len(r.arena):len(r.arena)]
+}
 
 // Bus is the interaction-point bus for one process run. The zero value is
 // ready to use. Bus is not safe for concurrent use; each simulated process
@@ -226,16 +274,15 @@ type PostHook func(c *Call, r *Result)
 type Bus struct {
 	pre       []PreHook
 	post      []PostHook
-	trace     []Event
+	rec       *Recorder
 	seq       int
-	siteHits  map[string]int
 	recording bool
 	mutated   bool
 }
 
 // NewBus returns a Bus with trace recording enabled.
 func NewBus() *Bus {
-	return &Bus{siteHits: make(map[string]int), recording: true}
+	return &Bus{recording: true}
 }
 
 // OnPre registers a pre-hook (direct-fault position).
@@ -248,29 +295,37 @@ func (b *Bus) OnPost(h PostHook) { b.post = append(b.post, h) }
 // measure injection overhead in isolation).
 func (b *Bus) SetRecording(on bool) { b.recording = on }
 
-// ReserveTrace hands the bus a pre-sized backing buffer for trace
-// recording, so a run harness that knows the expected trace length (from
-// the campaign's clean run) can recycle one allocation across runs. The
-// buffer is adopted only while the trace is still empty and only when it
-// grows capacity; len(buf) is ignored. The caller must not touch buf
-// again until the bus is discarded.
-func (b *Bus) ReserveTrace(buf []Event) {
-	if len(b.trace) == 0 && cap(buf) > cap(b.trace) {
-		b.trace = buf[:0]
+// UseRecorder makes rec the bus's recorder, so the run records into
+// rec's recycled buffers. rec must be empty (new or Reset), and the bus
+// must not have seen an interaction yet. The caller owns rec again once
+// it is done with the bus and everything the trace handed out.
+func (b *Bus) UseRecorder(rec *Recorder) {
+	if b.seq != 0 {
+		panic("interpose: UseRecorder after the first interaction")
 	}
+	b.rec = rec
+}
+
+// recorder returns the bus's recorder, making one on first use.
+func (b *Bus) recorder() *Recorder {
+	if b.rec == nil {
+		b.rec = new(Recorder)
+	}
+	if b.rec.siteHits == nil {
+		b.rec.siteHits = make(map[string]int)
+	}
+	return b.rec
 }
 
 // Begin stamps the call with its sequence and occurrence numbers and runs
 // the pre-hooks. The kernel must call Begin exactly once per interaction,
 // before touching the environment.
 func (b *Bus) Begin(c *Call) {
-	if b.siteHits == nil {
-		b.siteHits = make(map[string]int)
-	}
+	rec := b.recorder()
 	c.Seq = b.seq
 	b.seq++
-	c.Occur = b.siteHits[c.Site]
-	b.siteHits[c.Site]++
+	c.Occur = rec.siteHits[c.Site]
+	rec.siteHits[c.Site]++
 	b.mutated = false
 	for _, h := range b.pre {
 		h(c)
@@ -282,38 +337,43 @@ func (b *Bus) Begin(c *Call) {
 func (b *Bus) MarkMutated() { b.mutated = true }
 
 // End runs the post-hooks and appends the trace event. resolved is the
-// post-symlink object identity (empty when not applicable).
+// post-symlink object identity (empty when not applicable). The event's
+// payloads are copied into the recorder's arena, so the trace never
+// aliases the caller's buffers.
 func (b *Bus) End(c *Call, r *Result, resolved string) {
 	for _, h := range b.post {
 		h(c, r)
 	}
 	if b.recording {
+		rec := b.recorder()
 		ev := Event{Call: *c, Result: *r, ResolvedPath: resolved, Mutated: b.mutated}
-		if r.Data != nil {
-			ev.Result.Data = append([]byte(nil), r.Data...)
-		}
-		if c.Data != nil {
-			ev.Call.Data = append([]byte(nil), c.Data...)
-		}
-		b.trace = append(b.trace, ev)
+		ev.Result.Data = rec.keep(r.Data)
+		ev.Call.Data = rec.keep(c.Data)
+		rec.trace = append(rec.trace, ev)
 	}
 }
 
 // Trace returns the recorded events in execution order. The returned slice
 // is owned by the bus; callers must not mutate it.
-func (b *Bus) Trace() []Event { return b.trace }
+func (b *Bus) Trace() []Event {
+	if b.rec == nil {
+		return nil
+	}
+	return b.rec.trace
+}
 
 // Len returns the number of recorded interactions.
-func (b *Bus) Len() int { return len(b.trace) }
+func (b *Bus) Len() int { return len(b.Trace()) }
 
 // Points returns the distinct interaction points (site#occur) in trace
 // order. This is the enumeration from which the Section 3.3 procedure
 // draws its per-point fault lists.
 func (b *Bus) Points() []string {
-	pts := make([]string, 0, len(b.trace))
-	seen := make(map[string]bool, len(b.trace))
-	for i := range b.trace {
-		id := b.trace[i].Call.PointID()
+	trace := b.Trace()
+	pts := make([]string, 0, len(trace))
+	seen := make(map[string]bool, len(trace))
+	for i := range trace {
+		id := trace[i].Call.PointID()
 		if !seen[id] {
 			seen[id] = true
 			pts = append(pts, id)
@@ -324,10 +384,11 @@ func (b *Bus) Points() []string {
 
 // Sites returns the distinct static call sites in first-hit order.
 func (b *Bus) Sites() []string {
-	sites := make([]string, 0, len(b.trace))
-	seen := make(map[string]bool, len(b.trace))
-	for i := range b.trace {
-		s := b.trace[i].Call.Site
+	trace := b.Trace()
+	sites := make([]string, 0, len(trace))
+	seen := make(map[string]bool, len(trace))
+	for i := range trace {
+		s := trace[i].Call.Site
 		if !seen[s] {
 			seen[s] = true
 			sites = append(sites, s)
@@ -339,9 +400,10 @@ func (b *Bus) Sites() []string {
 // EventAt returns the first trace event at the given interaction point, or
 // nil when the point never fired.
 func (b *Bus) EventAt(pointID string) *Event {
-	for i := range b.trace {
-		if b.trace[i].Call.PointID() == pointID {
-			return &b.trace[i]
+	trace := b.Trace()
+	for i := range trace {
+		if trace[i].Call.PointID() == pointID {
+			return &trace[i]
 		}
 	}
 	return nil

@@ -237,3 +237,60 @@ func TestMutatedFlagResetsPerCall(t *testing.T) {
 		t.Errorf("mutated flags = %v, %v; want true, false", tr[0].Mutated, tr[1].Mutated)
 	}
 }
+
+// TestRecorderArena: payloads recorded into the arena are isolated from
+// the caller's buffers and from each other (appending to one event's
+// payload cannot overwrite the next), empty payloads record as nil, and a
+// Reset recorder serves a second bus with no trace of the first run.
+func TestRecorderArena(t *testing.T) {
+	t.Parallel()
+	rec := new(Recorder)
+	for run := 0; run < 2; run++ {
+		b := NewBus()
+		b.UseRecorder(rec)
+		payloads := []string{"first", "", "second"}
+		for _, p := range payloads {
+			buf := []byte(p)
+			c := &Call{Site: "s", Op: OpRead, Path: "/f", Data: buf}
+			b.Begin(c)
+			b.End(c, &Result{Data: buf}, "/f")
+			for i := range buf {
+				buf[i] = 'X'
+			}
+		}
+		tr := b.Trace()
+		if len(tr) != len(payloads) {
+			t.Fatalf("run %d: trace len %d", run, len(tr))
+		}
+		if tr[0].Call.Occur != 0 || tr[2].Call.Occur != 2 {
+			t.Errorf("run %d: occurrences %d, %d; want a fresh count per run", run, tr[0].Call.Occur, tr[2].Call.Occur)
+		}
+		if tr[1].Result.Data != nil || tr[1].Call.Data != nil {
+			t.Errorf("run %d: empty payload recorded as %q/%q, want nil", run, tr[1].Call.Data, tr[1].Result.Data)
+		}
+		_ = append(tr[0].Result.Data, "clobber"...)
+		for i, want := range payloads {
+			if got := string(tr[i].Result.Data); got != want {
+				t.Errorf("run %d event %d: Result.Data = %q, want %q", run, i, got, want)
+			}
+			if got := string(tr[i].Call.Data); got != want {
+				t.Errorf("run %d event %d: Call.Data = %q, want %q", run, i, got, want)
+			}
+		}
+		rec.Reset()
+	}
+}
+
+// TestUseRecorderAfterBeginPanics: a recorder can only be attached
+// before the bus has counted any interaction.
+func TestUseRecorderAfterBeginPanics(t *testing.T) {
+	t.Parallel()
+	b := NewBus()
+	b.Begin(&Call{Site: "s"})
+	defer func() {
+		if recover() == nil {
+			t.Error("UseRecorder after Begin did not panic")
+		}
+	}()
+	b.UseRecorder(new(Recorder))
+}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/interpose"
@@ -30,8 +31,27 @@ func (p *Proc) Setenv(site, name, value string) {
 		Site: site, Op: interpose.OpSetenv, Kind: interpose.KindEnvVar,
 		Path: name, Data: []byte(value),
 	})
+	if p.envShared {
+		p.Env = p.Env.Clone()
+		p.envShared = false
+	}
 	p.Env[c.Path] = string(c.Data)
 	p.end(c, &interpose.Result{}, c.Path)
+}
+
+// argvNames holds the object names of the first argument indices, so
+// Arg names them without formatting.
+var argvNames = [...]string{
+	"argv[0]", "argv[1]", "argv[2]", "argv[3]", "argv[4]", "argv[5]", "argv[6]", "argv[7]",
+	"argv[8]", "argv[9]", "argv[10]", "argv[11]", "argv[12]", "argv[13]", "argv[14]", "argv[15]",
+}
+
+// argvName returns "argv[i]".
+func argvName(i int) string {
+	if i >= 0 && i < len(argvNames) {
+		return argvNames[i]
+	}
+	return "argv[" + strconv.Itoa(i) + "]"
 }
 
 // Arg fetches the i'th command-line argument through the bus — the user
@@ -39,7 +59,7 @@ func (p *Proc) Setenv(site, name, value string) {
 func (p *Proc) Arg(site string, i int) string {
 	c := p.begin(&interpose.Call{
 		Site: site, Op: interpose.OpArg, Kind: interpose.KindArg,
-		Path: fmt.Sprintf("argv[%d]", i), Flags: i,
+		Path: argvName(i), Flags: i,
 	})
 	var val string
 	if c.Flags >= 0 && c.Flags < len(p.Args) {
@@ -86,7 +106,7 @@ func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
 			c := p.begin(&interpose.Call{
 				Site: site, Op: interpose.OpExec, Kind: interpose.KindFile, Path: path,
 			})
-			r := &interpose.Result{Err: fmt.Errorf("%w: %s", ErrNotFound, path)}
+			r := &interpose.Result{Err: missErr(ErrNotFound, "", path)}
 			p.end(c, r, "")
 			return 127, r.Err
 		}
@@ -126,7 +146,7 @@ func (p *Proc) ExecTrusted(site, path string, requireUID int, argv ...string) (i
 	case rerr != nil:
 		exit, err = 126, rerr
 	case res.Node == nil:
-		exit, resolved, err = 127, res.Path, fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
+		exit, resolved, err = 127, res.Path, missErr(vfs.ErrNotExist, "", res.Path)
 	case res.Node.UID != requireUID || res.Node.Mode&0o022 != 0:
 		exit, resolved, err = 126, res.Path,
 			fmt.Errorf("%w: %s not exclusively owned by uid %d", ErrPerm, res.Path, requireUID)
@@ -144,16 +164,19 @@ func (p *Proc) execResolved(path string, argv []string) (int, string, error) {
 		return 126, "", err
 	}
 	if res.Node == nil {
-		return 127, res.Path, fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
+		return 127, res.Path, missErr(vfs.ErrNotExist, "", res.Path)
 	}
 	if res.Node.Type != vfs.TypeRegular {
-		return 126, res.Path, fmt.Errorf("%w: %s", ErrNoExec, res.Path)
+		return 126, res.Path, missErr(ErrNoExec, "", res.Path)
 	}
 	if !vfs.Allows(res.Node, p.Cred.EUID, p.Cred.EGID, vfs.WantExec) {
-		return 126, res.Path, fmt.Errorf("%w: exec %s", ErrPerm, res.Path)
+		return 126, res.Path, missErr(ErrPerm, "exec ", res.Path)
 	}
 
-	child := p.K.NewProc(p.Cred, p.Env.Clone(), p.Cwd, argv...)
+	// The child shares the environment and copies it on its first
+	// Setenv. The parent cannot write it meanwhile: the child runs to
+	// completion inside this call.
+	child := p.K.NewProc(p.Cred, p.Env, p.Cwd, argv...)
 	if res.Node.Mode&vfs.ModeSetUID != 0 {
 		child.Cred.EUID = res.Node.UID
 		child.Cred.SUID = res.Node.UID

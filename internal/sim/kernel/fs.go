@@ -74,10 +74,10 @@ func (p *Proc) openLocked(path string, flags int, mode vfs.Mode) (*File, string,
 	switch {
 	case res.Node != nil:
 		if flags&OCreate != 0 && flags&OExcl != 0 {
-			return nil, res.Path, fmt.Errorf("%w: %s", vfs.ErrExist, res.Path)
+			return nil, res.Path, missErr(vfs.ErrExist, "", res.Path)
 		}
 		if res.Node.Type == vfs.TypeDir && flags&(OWrite|OTrunc) != 0 {
-			return nil, res.Path, fmt.Errorf("%w: %s", vfs.ErrIsDir, res.Path)
+			return nil, res.Path, missErr(vfs.ErrIsDir, "", res.Path)
 		}
 		var want vfs.Mode
 		if flags&ORead != 0 {
@@ -87,7 +87,7 @@ func (p *Proc) openLocked(path string, flags int, mode vfs.Mode) (*File, string,
 			want |= vfs.WantWrite
 		}
 		if want != 0 && !vfs.Allows(res.Node, cred.EUID, cred.EGID, want) {
-			return nil, res.Path, fmt.Errorf("%w: open %s", ErrPerm, res.Path)
+			return nil, res.Path, missErr(ErrPerm, "open ", res.Path)
 		}
 		node := res.Node
 		if flags&OTrunc != 0 && node.Type == vfs.TypeRegular {
@@ -102,10 +102,10 @@ func (p *Proc) openLocked(path string, flags int, mode vfs.Mode) (*File, string,
 		return f, res.Path, nil
 	case flags&OCreate != 0:
 		if res.Parent == nil {
-			return nil, res.Path, fmt.Errorf("%w: %s", vfs.ErrInvalid, path)
+			return nil, res.Path, missErr(vfs.ErrInvalid, "", path)
 		}
 		if !vfs.Allows(res.Parent, cred.EUID, cred.EGID, vfs.WantWrite|vfs.WantExec) {
-			return nil, res.Path, fmt.Errorf("%w: create in parent of %s", ErrPerm, res.Path)
+			return nil, res.Path, missErr(ErrPerm, "create in parent of ", res.Path)
 		}
 		n, err := p.K.FS.Create(p.Cwd, path, mode&^p.Umask, cred.EUID, cred.EGID, flags&OExcl != 0)
 		if err != nil {
@@ -113,7 +113,7 @@ func (p *Proc) openLocked(path string, flags int, mode vfs.Mode) (*File, string,
 		}
 		return &File{node: n, Path: res.Path, flags: flags}, res.Path, nil
 	default:
-		return nil, res.Path, fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
+		return nil, res.Path, missErr(vfs.ErrNotExist, "", res.Path)
 	}
 }
 
@@ -145,7 +145,7 @@ func (p *Proc) Read(site string, f *File, n int) ([]byte, error) {
 	case f.flags&ORead == 0:
 		err = fmt.Errorf("%w: not opened for reading", ErrBadFD)
 	case node.Type != vfs.TypeRegular:
-		err = fmt.Errorf("%w: %s", vfs.ErrIsDir, f.Path)
+		err = missErr(vfs.ErrIsDir, "", f.Path)
 	default:
 		end := f.offset + n
 		if end > len(node.Data) {
@@ -256,7 +256,7 @@ func (p *Proc) stat(site, path string, follow bool) (Info, error) {
 	case rerr != nil:
 		err = rerr
 	case res.Node == nil:
-		err = fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
+		err = missErr(vfs.ErrNotExist, "", res.Path)
 	default:
 		info = Info{
 			Path: res.Path, Type: res.Node.Type, Mode: res.Node.Mode,
@@ -302,11 +302,11 @@ func (p *Proc) ReadDir(site, path string) ([]string, error) {
 	case rerr != nil:
 		err = rerr
 	case res.Node == nil:
-		err = fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
+		err = missErr(vfs.ErrNotExist, "", res.Path)
 	case res.Node.Type != vfs.TypeDir:
-		err = fmt.Errorf("%w: %s", vfs.ErrNotDir, res.Path)
+		err = missErr(vfs.ErrNotDir, "", res.Path)
 	case !vfs.Allows(res.Node, p.Cred.EUID, p.Cred.EGID, vfs.WantRead):
-		err = fmt.Errorf("%w: readdir %s", ErrPerm, res.Path)
+		err = missErr(ErrPerm, "readdir ", res.Path)
 	default:
 		names = res.Node.Children()
 	}
@@ -412,7 +412,7 @@ func (p *Proc) Chmod(site, path string, mode vfs.Mode) error {
 		res, _ := p.K.FS.Resolve(p.Cwd, c.Path, true)
 		resolved = res.Path
 		if p.Cred.EUID != 0 && p.Cred.EUID != n.UID {
-			return fmt.Errorf("%w: chmod %s", ErrPerm, resolved)
+			return missErr(ErrPerm, "chmod ", resolved)
 		}
 		n = p.K.FS.Own(n)
 		n.Mode = vfs.Mode(c.Mode) & vfs.ModePermMask
@@ -439,7 +439,7 @@ func (p *Proc) Chown(site, path string, uid, gid int) error {
 		res, _ := p.K.FS.Resolve(p.Cwd, c.Path, true)
 		resolved = res.Path
 		if p.Cred.EUID != 0 {
-			return fmt.Errorf("%w: chown %s", ErrPerm, resolved)
+			return missErr(ErrPerm, "chown ", resolved)
 		}
 		n = p.K.FS.Own(n)
 		n.UID, n.GID = c.Flags, int(c.Mode)
@@ -461,10 +461,10 @@ func (p *Proc) Chdir(site, path string) error {
 			return rerr
 		}
 		if res.Node == nil {
-			return fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
+			return missErr(vfs.ErrNotExist, "", res.Path)
 		}
 		if res.Node.Type != vfs.TypeDir {
-			return fmt.Errorf("%w: %s", vfs.ErrNotDir, res.Path)
+			return missErr(vfs.ErrNotDir, "", res.Path)
 		}
 		resolved = res.Path
 		p.Cwd = res.Path
@@ -483,7 +483,7 @@ func (p *Proc) parentWriteChecked(path string, op func() error) error {
 		return err
 	}
 	if res.Parent != nil && !vfs.Allows(res.Parent, p.Cred.EUID, p.Cred.EGID, vfs.WantWrite|vfs.WantExec) {
-		return fmt.Errorf("%w: directory of %s", ErrPerm, res.Path)
+		return missErr(ErrPerm, "directory of ", res.Path)
 	}
 	return op()
 }

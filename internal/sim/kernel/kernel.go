@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/interpose"
@@ -33,6 +34,27 @@ var (
 	ErrNoReg    = errors.New("kernel: no registry configured")
 )
 
+// missError is the error a syscall reports for an expected miss, such
+// as a missing file or a refused permission. Its text is "<cause>:
+// <op><path>", exactly what fmt.Errorf("%w: <op>%s", cause, path)
+// renders, and errors.Is matches cause. The text is built only when
+// asked: most misses are only ever compared with nil.
+type missError struct {
+	cause error
+	op    string
+	path  string
+}
+
+func (e *missError) Error() string { return e.cause.Error() + ": " + e.op + e.path }
+
+func (e *missError) Unwrap() error { return e.cause }
+
+// missErr returns the miss error for cause, op (empty, or a word and a
+// trailing space) and path.
+func missErr(cause error, op, path string) error {
+	return &missError{cause: cause, op: op, path: path}
+}
+
 // Program is a simulated executable: application code written against the
 // kernel syscall API. The return value is the process exit code.
 type Program func(p *Proc) int
@@ -49,14 +71,30 @@ type Kernel struct {
 	programs  map[string]Program
 	mailboxes map[string][][]byte
 	nextPID   int
+	// sharedPrograms and sharedMailboxes mark the tables as borrowed
+	// from a snapshot (see Snapshot.Fork): the first write copies them.
+	sharedPrograms  bool
+	sharedMailboxes bool
+}
+
+// ownMailboxes makes the mailbox queues private ahead of a write: a
+// kernel still sharing its snapshot's queues deep-copies them, messages
+// included, so nothing a run pops, posts or replaces reaches the
+// snapshot or a sibling fork.
+func (k *Kernel) ownMailboxes() {
+	switch {
+	case k.sharedMailboxes:
+		k.mailboxes = cloneMailboxes(k.mailboxes)
+		k.sharedMailboxes = false
+	case k.mailboxes == nil:
+		k.mailboxes = make(map[string][][]byte)
+	}
 }
 
 // PostMessage enqueues a process-input message for MsgRecv. World builders
 // and the process-input fault appliers use it directly.
 func (k *Kernel) PostMessage(mailbox string, data []byte) {
-	if k.mailboxes == nil {
-		k.mailboxes = make(map[string][][]byte)
-	}
+	k.ownMailboxes()
 	k.mailboxes[mailbox] = append(k.mailboxes[mailbox], append([]byte(nil), data...))
 }
 
@@ -80,9 +118,7 @@ func (k *Kernel) MailboxNames() []string {
 
 // SetMailbox replaces a mailbox queue.
 func (k *Kernel) SetMailbox(mailbox string, msgs [][]byte) {
-	if k.mailboxes == nil {
-		k.mailboxes = make(map[string][][]byte)
-	}
+	k.ownMailboxes()
 	k.mailboxes[mailbox] = msgs
 }
 
@@ -102,27 +138,32 @@ func New() *Kernel {
 // RegisterProgram installs a program image at the given absolute path.
 // Exec of that (resolved) path runs the program in a child process.
 func (k *Kernel) RegisterProgram(path string, prog Program) {
+	if k.sharedPrograms {
+		k.programs = maps.Clone(k.programs)
+		k.sharedPrograms = false
+	}
 	k.programs[path] = prog
 }
 
 // NewProc creates a process with the given credentials, environment, and
-// working directory.
+// working directory. The process shares env with the caller and copies
+// it on its first Setenv, so a launch environment can seed any number
+// of processes without a copy each; nothing the process does writes
+// into env.
 func (k *Kernel) NewProc(cred proc.Cred, env proc.Env, cwd string, args ...string) *Proc {
 	k.nextPID++
-	if env == nil {
-		env = proc.Env{}
-	}
 	if cwd == "" {
 		cwd = "/"
 	}
 	return &Proc{
-		K:     k,
-		PID:   k.nextPID,
-		Cred:  cred,
-		Umask: 0o022,
-		Env:   env,
-		Args:  args,
-		Cwd:   cwd,
+		K:         k,
+		PID:       k.nextPID,
+		Cred:      cred,
+		Umask:     0o022,
+		Env:       env,
+		Args:      args,
+		Cwd:       cwd,
+		envShared: true,
 	}
 }
 
@@ -165,6 +206,10 @@ type Proc struct {
 
 	Stdout bytes.Buffer
 	Stderr bytes.Buffer
+
+	// envShared marks Env as borrowed (from the launch description or
+	// the parent process): Setenv copies it before the first write.
+	envShared bool
 
 	// call and res are the interaction records every syscall of this
 	// process reuses: begin copies the caller's Call into call, and end

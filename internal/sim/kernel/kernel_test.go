@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -674,5 +675,36 @@ func TestSetUmask(t *testing.T) {
 	n, _ := k.FS.Lookup("/", "/tmp/wide")
 	if n.Mode != 0o666 {
 		t.Errorf("mode with umask 0 = %o", uint16(n.Mode))
+	}
+}
+
+// TestMissErrorMatchesErrorf: a miss error reads exactly as the
+// fmt.Errorf("%w: <op>%s") value it replaces and matches its cause
+// under errors.Is.
+func TestMissErrorMatchesErrorf(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		cause    error
+		op, path string
+	}{
+		{vfs.ErrNotExist, "", "/etc/missing"},
+		{ErrPerm, "open ", "/etc/shadow"},
+		{ErrPerm, "create in parent of ", "/etc/x"},
+		{vfs.ErrNotDir, "", "/etc/passwd/x"},
+		{ErrNotFound, "", "ls"},
+		{ErrNoExec, "", "/tmp"},
+	}
+	var errs []error
+	for _, c := range cases {
+		errs = append(errs, missErr(c.cause, c.op, c.path))
+	}
+	for i, c := range cases {
+		want := fmt.Errorf("%w: "+c.op+"%s", c.cause, c.path)
+		if errs[i].Error() != want.Error() {
+			t.Errorf("miss error %d = %q, want %q", i, errs[i], want)
+		}
+		if !errors.Is(errs[i], c.cause) {
+			t.Errorf("miss error %q does not match %v", errs[i], c.cause)
+		}
 	}
 }

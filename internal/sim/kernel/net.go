@@ -101,7 +101,9 @@ func (p *Proc) MsgRecv(site, mailbox string) ([]byte, error) {
 		data []byte
 		err  error
 	)
-	if q := p.K.mailboxes[c.Path]; len(q) > 0 {
+	if len(p.K.mailboxes[c.Path]) > 0 {
+		p.K.ownMailboxes()
+		q := p.K.mailboxes[c.Path]
 		data = q[0]
 		p.K.mailboxes[c.Path] = q[1:]
 	} else {

@@ -1,20 +1,19 @@
 package kernel
 
 import (
-	"maps"
-
 	"repro/internal/interpose"
+	"repro/internal/sim/proc"
 	"repro/internal/sim/vfs"
 )
 
-// Snapshot is an immutable clean-world image: the filesystem frozen in
-// place plus deep copies or references to every other piece of kernel
-// state a run can touch. Fork stamps out a mutable kernel in O(small) —
-// the VFS is structurally shared copy-on-write, so only the substrates
-// with per-run mutable state (network scripts, registry hives, account
-// database, mailbox queues) are cloned eagerly.
+// Snapshot is an immutable clean-world image: the filesystem and
+// registry frozen in place plus the rest of the kernel state a run can
+// touch. Fork stamps out a mutable kernel that shares all of it and
+// copies a piece only when the run first writes it, so a run pays only
+// for what it changes.
 type Snapshot struct {
 	fs        *vfs.FS
+	users     *proc.Users
 	programs  map[string]Program
 	mailboxes map[string][][]byte
 	nextPID   int
@@ -22,22 +21,27 @@ type Snapshot struct {
 }
 
 // Snapshot freezes the kernel's filesystem and registry and captures the
-// rest of its state as the clean-world image. The receiver must not be
-// mutated afterwards — VFS and registry writes panic once frozen, and the
-// mailbox queues are deep-copied here so later Fork calls see the
-// capture-time state.
+// rest of its state as the clean-world image. Filesystem and registry
+// writes through the receiver panic from now on; its account database,
+// program table and mailbox queues become copy-on-write, so later edits
+// through the receiver copy them first and never reach the image.
 func (k *Kernel) Snapshot() *Snapshot {
 	k.FS.Freeze()
 	if k.Reg != nil {
 		k.Reg.Freeze()
 	}
-	return &Snapshot{
+	s := &Snapshot{
 		fs:        k.FS,
+		users:     k.Users,
 		programs:  k.programs,
-		mailboxes: cloneMailboxes(k.mailboxes),
+		mailboxes: k.mailboxes,
 		nextPID:   k.nextPID,
 		src:       k,
 	}
+	k.Users = k.Users.Fork()
+	k.sharedPrograms = true
+	k.sharedMailboxes = true
+	return s
 }
 
 // FS returns the frozen base filesystem. The security oracle can use it
@@ -62,19 +66,23 @@ func (k *Kernel) FreezeFS() *vfs.FS {
 	return frozen
 }
 
-// Fork returns a fresh mutable kernel backed by the snapshot. The VFS and
-// registry are copy-on-write forks of the frozen state; network, accounts,
-// and mailboxes are cloned so no mutable state is shared between forks.
-// PID and inode counters continue from the snapshot's values, which keeps
-// a forked run's trace bit-identical to one against a freshly built world.
+// Fork returns a fresh mutable kernel backed by the snapshot. The VFS
+// and registry are copy-on-write forks of the frozen state; the account
+// database, program table and mailbox queues are shared until the first
+// write copies them (Users.Add, RegisterProgram, and PostMessage,
+// SetMailbox or a MsgRecv pop); only the network is cloned eagerly. PID
+// and inode counters continue from the snapshot's values, which keeps a
+// forked run's trace bit-identical to one against a freshly built world.
 func (s *Snapshot) Fork() *Kernel {
 	k := &Kernel{
-		FS:        s.fs.Fork(),
-		Users:     s.src.Users.Clone(),
-		Bus:       interpose.NewBus(),
-		programs:  maps.Clone(s.programs),
-		mailboxes: cloneMailboxes(s.mailboxes),
-		nextPID:   s.nextPID,
+		FS:              s.fs.Fork(),
+		Users:           s.users.Fork(),
+		Bus:             interpose.NewBus(),
+		programs:        s.programs,
+		mailboxes:       s.mailboxes,
+		nextPID:         s.nextPID,
+		sharedPrograms:  true,
+		sharedMailboxes: true,
 	}
 	if s.src.Net != nil {
 		k.Net = s.src.Net.Clone()

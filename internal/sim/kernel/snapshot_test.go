@@ -34,11 +34,14 @@ func snapWorld(t *testing.T) *Kernel {
 }
 
 // TestSnapshotForkIsolation: mutations in one fork are invisible to the
-// frozen base and to sibling forks, across files, mailboxes, and users.
+// frozen base and to sibling forks, across files, users, programs,
+// mailboxes (pops, posts and replacements) and a child process's
+// environment — everything Fork shares until first write.
 func TestSnapshotForkIsolation(t *testing.T) {
 	t.Parallel()
 	snap := snapWorld(t).Snapshot()
 	base := snap.FS().Digest()
+	env := proc.NewEnv("PATH", "/usr/bin")
 
 	a, b := snap.Fork(), snap.Fork()
 	if err := a.FS.WriteFile("/home/alice/notes", []byte("fork a\n"), 0o644, 100, 100); err != nil {
@@ -48,6 +51,68 @@ func TestSnapshotForkIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Users.Add(proc.User{Name: "eve", UID: 777, GID: 777})
+
+	// A child process in fork a sets a variable in the environment it
+	// shares with its parent and with the launch description.
+	if err := a.FS.MkdirAll("/", "/bin", 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FS.WriteFile("/bin/child", nil, 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	a.RegisterProgram("/bin/child", func(p *Proc) int {
+		p.Setenv("t:setenv", "PATH", "/evil")
+		if got := p.Getenv("t:getenv", "PATH"); got != "/evil" {
+			t.Errorf("child PATH after Setenv = %q", got)
+		}
+		return 0
+	})
+	pa := a.NewProc(proc.NewCred(100, 100), env, "/")
+	if exit, err := pa.Exec("t:exec", "/bin/child"); exit != 0 || err != nil {
+		t.Fatalf("exec child: %d, %v", exit, err)
+	}
+
+	// Fork a pops the queued message and scribbles on it, posts to a new
+	// mailbox, then replaces the queue it popped.
+	msg, err := pa.MsgRecv("t:recv", "inbox")
+	if err != nil || string(msg) != "hello" {
+		t.Fatalf("fork a MsgRecv = %q, %v", msg, err)
+	}
+	msg[0] = 'J'
+	a.PostMessage("outbox", []byte("from a"))
+	a.SetMailbox("inbox", [][]byte{[]byte("forged")})
+
+	if got := pa.Getenv("t:getenv", "PATH"); got != "/usr/bin" {
+		t.Errorf("parent sees its child's Setenv: PATH = %q", got)
+	}
+	if env["PATH"] != "/usr/bin" {
+		t.Errorf("child's Setenv reached the launch environment: PATH = %q", env["PATH"])
+	}
+	pb := b.NewProc(proc.NewCred(100, 100), env, "/")
+	if got := pb.Getenv("t:getenv", "PATH"); got != "/usr/bin" {
+		t.Errorf("sibling fork sees a's child Setenv: PATH = %q", got)
+	}
+	if _, ok := b.programs["/bin/child"]; ok {
+		t.Error("sibling fork sees a's registered program")
+	}
+	if _, ok := snap.programs["/bin/child"]; ok {
+		t.Error("a's registered program reached the snapshot")
+	}
+	for name, k := range map[string]*Kernel{"snapshot": {mailboxes: snap.mailboxes}, "sibling": b} {
+		if q := k.PeekMailbox("inbox"); len(q) != 1 || string(q[0]) != "hello" {
+			t.Errorf("%s inbox after a's pop and replace = %q", name, q)
+		}
+		if q := k.PeekMailbox("outbox"); len(q) != 0 {
+			t.Errorf("%s sees a's post: %q", name, q)
+		}
+	}
+	c := snap.Fork()
+	if msg, err := c.NewProc(proc.NewCred(100, 100), env, "/").MsgRecv("t:recv", "inbox"); err != nil || string(msg) != "hello" {
+		t.Errorf("third fork MsgRecv = %q, %v", msg, err)
+	}
+	if q := b.PeekMailbox("inbox"); len(q) != 1 || string(q[0]) != "hello" {
+		t.Errorf("third fork's pop reached sibling b: %q", q)
+	}
 	a.SetMailbox("inbox", nil)
 
 	if got := snap.FS().Digest(); got != base {

@@ -10,6 +10,7 @@ package proc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -53,6 +54,9 @@ type User struct {
 type Users struct {
 	byName map[string]User
 	byUID  map[int]User
+	// shared marks the maps as borrowed from the database this one was
+	// forked from; the first Add copies them.
+	shared bool
 }
 
 // NewUsers returns a database pre-populated with root (uid 0).
@@ -64,6 +68,11 @@ func NewUsers() *Users {
 
 // Add inserts or replaces an account.
 func (u *Users) Add(user User) {
+	if u.shared {
+		u.byName = maps.Clone(u.byName)
+		u.byUID = maps.Clone(u.byUID)
+		u.shared = false
+	}
 	u.byName[user.Name] = user
 	u.byUID[user.UID] = user
 }
@@ -98,21 +107,13 @@ func (u *Users) All() []User {
 	return out
 }
 
-// Clone returns an independent copy of the account database. World
-// snapshot forks use it so a fork's account edits never leak into the
-// frozen base image.
-func (u *Users) Clone() *Users {
-	c := &Users{
-		byName: make(map[string]User, len(u.byName)),
-		byUID:  make(map[int]User, len(u.byUID)),
-	}
-	for k, v := range u.byName {
-		c.byName[k] = v
-	}
-	for k, v := range u.byUID {
-		c.byUID[k] = v
-	}
-	return c
+// Fork returns a copy-on-write view of the account database: it shares
+// the receiver's tables until its first Add copies them. World snapshot
+// forks use it, so a fork's account edits never leak into the frozen base
+// image and a fork that edits no account copies nothing. The receiver
+// must not be edited while forks read it.
+func (u *Users) Fork() *Users {
+	return &Users{byName: u.byName, byUID: u.byUID, shared: true}
 }
 
 // Env is a process environment table. Unlike a plain map it preserves no

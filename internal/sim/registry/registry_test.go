@@ -2,6 +2,8 @@ package registry
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -240,5 +242,61 @@ func TestEveryoneGrantUniversal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// dump renders every key with its ACL and values, for whole-forest
+// comparisons.
+func dump(r *Registry) string {
+	var b strings.Builder
+	r.Walk(func(path string, k *Key) {
+		fmt.Fprintf(&b, "%s unprotected=%v\n", path, k.Unprotected())
+		for _, n := range k.ValueNames() {
+			fmt.Fprintf(&b, "  %s=%+v\n", n, k.values[n])
+		}
+	})
+	return b.String()
+}
+
+// TestForkIsolation: every mutator, applied through one fork, leaves the
+// frozen base and a sibling fork unchanged, and the fork reads back its
+// own writes.
+func TestForkIsolation(t *testing.T) {
+	t.Parallel()
+	base := newTestReg(t)
+	base.Freeze()
+	want := dump(base)
+
+	a, b := base.Fork(), base.Fork()
+	if err := a.SetString(`HKLM\Software\Fonts\Cleanup`, "FontFile", `C:\evil`, Everyone); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetDWord(`HKLM\Software\Fonts\Cleanup`, "Count", 7, Everyone); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.DeleteValue(`HKLM\Software\Logon`, "ProfileDir", System); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetACL(`HKLM\Software\Logon`, UnprotectedACL()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.CreateKey(`HKCU\Evil\Run`, UnprotectedACL()); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := dump(base); got != want {
+		t.Errorf("fork writes reached the frozen base:\n%s\nwant\n%s", got, want)
+	}
+	if got := dump(b); got != want {
+		t.Errorf("fork writes reached a sibling fork:\n%s\nwant\n%s", got, want)
+	}
+	if s, err := a.GetString(`HKLM\Software\Fonts\Cleanup`, "FontFile", Everyone); err != nil || s != `C:\evil` {
+		t.Errorf("fork reads back %q, %v", s, err)
+	}
+	if _, err := a.GetString(`HKLM\Software\Logon`, "ProfileDir", Everyone); !errors.Is(err, ErrNoValue) {
+		t.Errorf("fork still sees its deleted value: %v", err)
+	}
+	if len(a.UnprotectedKeys()) != 3 {
+		t.Errorf("fork unprotected keys = %v", a.UnprotectedKeys())
 	}
 }
